@@ -14,7 +14,7 @@ from . import dense, factored, verify
 from .compiler import (CompileError, circuit_from_json, compile_circuit,
                        layers_to_program)
 from .dense import (ColumnAssignment, MemoryGuardError, SAMPLER_NAME,
-                    column_marginal, dump_state, measure_column)
+                    column_marginal, dump_state)
 from .factored import UnsupportedTopologyError, dump_registers
 from .gates import ProgramColumn, format_tau_dump
 from .lattice import LatticeSpec, Topology
@@ -47,7 +47,7 @@ def _write(obj, path):
             fh.write(text + "\n")
 
 
-def _pairs(vec, threshold=0.0):
+def _pairs(vec):
     return [[float(f"{z.real:.17g}"), float(f"{z.imag:.17g}")] for z in vec]
 
 
@@ -59,35 +59,41 @@ def _program_from_json(obj):
         raise SystemExit2(f"malformed program file: {exc}")
     if len(columns) != r or any(len(p) != 2 * s for p in columns):
         raise SystemExit2("program file columns do not match s, r")
-    dim = 2 ** (2 * s)
+    raw = [] if obj.get("data") is None else obj["data"]
+    if not isinstance(raw, list):
+        raise SystemExit2("program file data must be a list")
     data = []
-    raw = obj.get("data")
     for i in range(r):
-        if raw is not None and i < len(raw):
-            entry = raw[i]
-            if isinstance(entry, str):
-                v = np.zeros(dim, dtype=np.complex128)
-                v[ProgramColumn.from_string(entry).basis_index()] = 1.0
-            else:
-                v = np.array([complex(re, im) for re, im in entry])
-                n = np.linalg.norm(v)
-                if n == 0:
-                    raise SystemExit2(f"data register {i} is zero")
-                v = v / n
-        else:
-            v = np.zeros(dim, dtype=np.complex128)
-            v[0] = 1.0
-        data.append(v)
+        entry = raw[i] if i < len(raw) else "0" * 2 * s
+        try:
+            data.append(_data_register(entry, 2 * s))
+        except (TypeError, ValueError) as exc:
+            raise SystemExit2(f"malformed data register {i}: {exc}")
     return s, r, ColumnAssignment(data, columns)
+
+
+def _data_register(entry, two_s):
+    """A bitstring (row 0 first) or a list of [re, im] amplitude pairs,
+    normalized."""
+    if isinstance(entry, str):
+        p = ProgramColumn.from_string(entry)
+        if len(p) != two_s:
+            raise ValueError(f"needs {two_s} bits, got {len(p)}")
+        v = np.zeros(2 ** two_s, dtype=np.complex128)
+        v[p.basis_index()] = 1.0
+        return v
+    v = np.array([complex(re, im) for re, im in entry])
+    n = np.linalg.norm(v)
+    if n == 0:
+        raise ValueError("register is zero")
+    return v / n
 
 
 def cmd_compile(args):
     circuit = circuit_from_json(_load_json(args.circuit))
-    if circuit.width % 2:
-        raise CompileError("circuit width must be even")
     s = circuit.width // 2
-    layers, r = compile_circuit(circuit, s)
-    columns = layers_to_program(layers)
+    schedule, r = compile_circuit(circuit, s)
+    columns = layers_to_program(schedule)
     _write({"s": s, "r": r,
             "columns": [p.to_string() for p in columns]}, args.out)
     return EXIT_OK
@@ -107,6 +113,7 @@ def cmd_run(args):
         meta["t"] = state.t
         out_vec = factored.output_register(state,
                                            allow_off_schedule=(steps != r))
+        probs = np.abs(out_vec) ** 2
         if args.dump_state:
             with open(args.dump_state, "w", encoding="utf-8") as fh:
                 fh.write(dump_registers(state))
@@ -117,23 +124,17 @@ def cmd_run(args):
         evals, evecs = np.linalg.eigh(rho)
         out_vec = evecs[:, -1]
         meta["output_purity"] = float(evals[-1])
+        probs = np.real(np.diag(rho))
         if args.dump_state:
             with open(args.dump_state, "w", encoding="utf-8") as fh:
                 fh.write(dump_state(state))
 
     result = {"metadata": meta}
     if args.samples:
-        if args.backend == "factored":
-            probs = np.abs(out_vec) ** 2
-            rng = np.random.default_rng(args.seed)
-            idxs = rng.choice(len(probs), size=args.samples,
-                              p=probs / probs.sum())
-            result["samples"] = ["".join(str((int(i) >> y) & 1)
-                                         for y in range(2 * s)) for i in idxs]
-        else:
-            result["samples"] = [
-                measure_column(state, r, args.seed + k)[0]
-                for k in range(args.samples)]
+        rng = np.random.default_rng(args.seed)
+        idxs = rng.choice(len(probs), size=args.samples, p=probs / probs.sum())
+        result["samples"] = ["".join(str((int(i) >> y) & 1)
+                                     for y in range(2 * s)) for i in idxs]
     else:
         result["amplitudes"] = _pairs(out_vec)
     _write(result, args.out)
@@ -232,7 +233,6 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tau", help="dump the 16x16 cell transition matrix")
-    p.add_argument("--dump", action="store_true", default=True)
     p.set_defaults(func=cmd_tau)
 
     return parser

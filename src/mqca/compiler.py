@@ -5,7 +5,9 @@ macro windows of 20 automaton steps.  Within a window each row is the
 top of its cell 10 times; the 10 phase-control bits at those
 opportunities realize the single-qubit macros, and a single CZ-control
 bit placed at the right opportunity realizes the two-qubit macros.
-Every emitted window is checked against the reference simulator.
+Every emitted window is checked against the reference simulator.  A
+window becomes its 20 program columns directly, and the oracle's window
+unitary is the product of U(p, phi) over those same columns.
 """
 
 from dataclasses import dataclass, field
@@ -13,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gates import CZ, H, T_GATE, CellProgram, ProgramColumn
-from .linalg import apply_unitary
+from .gates import CZ, H, SWAP, T_GATE, ProgramColumn, column_unitary
+from .linalg import apply_unitary, operator_matrix
 
 WINDOW_STEPS = 20
 OPPORTUNITIES = 10
@@ -25,7 +27,6 @@ T_SEQ = (1,) + (0,) * 9
 H_SEQ = (0, 1, 0, 1, 1, 0, 1, 1, 0, 1)
 
 SINGLE_QUBIT = {"H": H_SEQ, "T": T_SEQ, "I": IDENT_SEQ}
-TWO_QUBIT = {"CZ", "CNOT", "SWAP"}
 
 
 class CompileError(ValueError):
@@ -70,15 +71,10 @@ class CircuitIR:
 
 
 @dataclass(frozen=True)
-class LayerIR:
-    """Per-step, per-cell program bits; steps[k-1][j] is the cell program
-    of cell-row j at step k (parity (k-1) mod 2)."""
+class Schedule:
+    """A compiled circuit: the merged windows on 2s rows, in order."""
     s: int
-    steps: tuple
-
-    @property
-    def r(self):
-        return len(self.steps)
+    windows: tuple
 
 
 @dataclass
@@ -125,11 +121,9 @@ def reference_simulate(circuit, psi):
         elif g.name in ("H", "T"):
             u = H if g.name == "H" else T_GATE
             psi = apply_unitary(psi, u, [g.qubits[0]])
-        elif g.name == "CZ":
-            psi = apply_unitary(psi, CZ, list(sorted(g.qubits, reverse=True)))
-        elif g.name == "SWAP":
-            a, b = g.qubits
-            psi = _apply_swap(psi, a, b)
+        elif g.name in ("CZ", "SWAP"):
+            u = CZ if g.name == "CZ" else SWAP
+            psi = apply_unitary(psi, u, sorted(g.qubits, reverse=True))
         elif g.name == "CNOT":
             c, t = g.qubits
             psi = apply_unitary(psi, H, [t])
@@ -138,35 +132,33 @@ def reference_simulate(circuit, psi):
     return psi
 
 
-def _apply_swap(psi, a, b):
-    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0],
-                     [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128)
-    return apply_unitary(psi, swap, [max(a, b), min(a, b)])
-
-
 # ---------------------------------------------------------------------------
 # window oracle and the derived two-qubit library
 
-def window_unitary(window, two_s):
-    """Dense unitary of one window on the full 2s-row column space,
-    obtained by replaying the 20 steps gate by gate."""
-    dim = 2 ** two_s
-    u = np.eye(dim, dtype=np.complex128)
-    for k in range(1, WINDOW_STEPS + 1):
-        phi = (k - 1) % 2
-        opp = (k - 1) // 2
+def window_columns(window, two_s):
+    """The 20 program columns of one window.  At step k (phi = k mod 2)
+    the cell with top row a reads opportunity k // 2 of its phase bits
+    at row a and of its CZ-control bits at row a + 1."""
+    columns = []
+    for k in range(WINDOW_STEPS):
+        phi, opp = k % 2, k // 2
+        bits = [0] * two_s
         for a in range(phi, two_s, 2):
-            b = (a + 1) % two_s
-            if window.p4.get(a, IDENT_SEQ)[opp]:
-                u = _matrix_apply(CZ, [b, a], u)
-            if window.p3.get(a, IDENT_SEQ)[opp]:
-                u = _matrix_apply(T_GATE, [a], u)
-            u = _matrix_apply(H, [a], u)
+            bits[a] = window.p3.get(a, IDENT_SEQ)[opp]
+            bits[(a + 1) % two_s] = window.p4.get(a, IDENT_SEQ)[opp]
+        columns.append(ProgramColumn(tuple(bits)))
+    return columns
+
+
+def window_unitary(window, two_s):
+    """Dense unitary of one window on the full 2s-row column space: the
+    product of U(p_k, k mod 2) over the window's program columns."""
+    # most of a window's columns repeat: build each distinct matrix once
+    action = lru_cache(maxsize=None)(column_unitary)
+    u = np.eye(2 ** two_s, dtype=np.complex128)
+    for k, p in enumerate(window_columns(window, two_s)):
+        u = action(p, k % 2, two_s // 2) @ u
     return u
-
-
-def _matrix_apply(g, bits, u):
-    return np.array([apply_unitary(col, g, bits) for col in u.T]).T
 
 
 def distance_up_to_phase(a, b):
@@ -224,8 +216,7 @@ def derive_two_qubit_windows(q):
         u = np.eye(2 ** two_s, dtype=np.complex128)
         for w in windows:
             u = window_unitary(w, two_s) @ u
-        key = {"CZ": "CZ", "CNOT+": "CNOT+", "CNOT-": "CNOT-"}[name]
-        if distance_up_to_phase(u, targets[key]) > WINDOW_TOL:
+        if distance_up_to_phase(u, targets[name]) > WINDOW_TOL:
             raise CompileError(
                 f"derived {name} windows for rows ({q}, {q + 1}) failed "
                 "the oracle check")
@@ -233,10 +224,9 @@ def derive_two_qubit_windows(q):
 
 
 def _logical_unitary(gates, two_s):
-    dim = 2 ** two_s
     circuit = CircuitIR(two_s, tuple(gates))
-    return np.array([reference_simulate(circuit, col)
-                     for col in np.eye(dim, dtype=np.complex128)]).T
+    return operator_matrix(lambda v: reference_simulate(circuit, v),
+                           2 ** two_s)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +285,7 @@ def _gate_windows(g):
 
 
 def compile_circuit(circuit, s):
-    """Compile to (LayerIR, r).  Gates touching disjoint rows share
+    """Compile to (Schedule, r).  Gates touching disjoint rows share
     windows; every multi-window macro reserves its rows for its whole
     span."""
     if circuit.width != 2 * s:
@@ -321,53 +311,13 @@ def compile_circuit(circuit, s):
             frontier[q] = start + len(specs)
     if not windows:
         windows = [WindowSpec()]
-    return _windows_to_layers(windows, s), WINDOW_STEPS * len(windows)
+    return Schedule(s, tuple(windows)), WINDOW_STEPS * len(windows)
 
 
-def _windows_to_layers(windows, s):
-    two_s = 2 * s
-    steps = []
-    for w in windows:
-        for k in range(1, WINDOW_STEPS + 1):
-            phi = (k - 1) % 2
-            opp = (k - 1) // 2
-            cells = []
-            for j in range(s):
-                a = (2 * j + phi) % two_s
-                cells.append(CellProgram(
-                    p3=w.p3.get(a, IDENT_SEQ)[opp],
-                    p4=w.p4.get(a, IDENT_SEQ)[opp]))
-            steps.append(tuple(cells))
-    return LayerIR(s, tuple(steps))
-
-
-def layers_to_program(layers):
-    """Program columns p_1..p_r; step k writes its cell bits at rows
-    (2j + (k-1)) mod 2s and the row below."""
-    two_s = 2 * layers.s
-    columns = []
-    for k, cells in enumerate(layers.steps, start=1):
-        phi = (k - 1) % 2
-        bits = [0] * two_s
-        for j, cp in enumerate(cells):
-            a = (2 * j + phi) % two_s
-            bits[a] = cp.p3
-            bits[(a + 1) % two_s] = cp.p4
-        columns.append(ProgramColumn(tuple(bits)))
-    return columns
-
-
-def program_to_layers(columns, s):
-    two_s = 2 * s
-    steps = []
-    for k, p in enumerate(columns, start=1):
-        phi = (k - 1) % 2
-        cells = []
-        for j in range(s):
-            a = (2 * j + phi) % two_s
-            cells.append(CellProgram(p3=p[a], p4=p[(a + 1) % two_s]))
-        steps.append(tuple(cells))
-    return LayerIR(s, tuple(steps))
+def layers_to_program(schedule):
+    """Program columns p_1..p_r: each window's columns, in order."""
+    two_s = 2 * schedule.s
+    return [p for w in schedule.windows for p in window_columns(w, two_s)]
 
 
 # ---------------------------------------------------------------------------

@@ -101,13 +101,7 @@ def inverse_step(state):
     if state.t == 0:
         raise ValueError("cannot invert past t = 0")
     cells = lattice.cells_of_step(state.t - 1, state.spec)
-    tau_dag = build_tau().conj().T
-    amps = state.amplitudes
-    for cell in cells:
-        if cell.kind is CellKind.TAU:
-            amps = apply_unitary(amps, tau_dag, list(cell.sites))
-        elif cell.kind is CellKind.SWAP:
-            amps = apply_unitary(amps, SWAP, list(cell.sites))
+    amps = _apply_cells(state.amplitudes, cells, build_tau().conj().T)
     return StateVector(amps, state.spec, state.t - 1)
 
 
@@ -130,22 +124,6 @@ def column_marginal(state, x):
     high = state.amplitudes.size // (low * mid)
     psi = state.amplitudes.reshape(high, mid, low)
     return np.einsum("acb,adb->cd", psi, psi.conj())
-
-
-def measure_column(state, x, seed):
-    """Sample a basis outcome from the column marginal.
-
-    Deterministic for a given seed (numpy PCG64 stream).  Returns the
-    outcome as a row-0-first bitstring together with its probability.
-    """
-    rho = column_marginal(state, x)
-    probs = np.clip(np.real(np.diag(rho)), 0.0, None)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    idx = int(rng.choice(len(probs), p=probs))
-    two_s = state.spec.n_rows
-    bits = "".join(str((idx >> y) & 1) for y in range(two_s))
-    return bits, float(probs[idx])
 
 
 def schmidt_rank_at_cut(state, c, tol=RANK_TOL):

@@ -11,13 +11,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import apply_unitary, as_unitary, kron_all
+from .linalg import apply_unitary, as_unitary, operator_matrix
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
-I2 = np.eye(2, dtype=np.complex128)
 H = np.array([[SQ2, SQ2], [SQ2, -SQ2]], dtype=np.complex128)
-Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 # pi/4-phase gate exp(-i pi/8 Z); equals the conventional T up to phase.
 T_GATE = np.diag([np.exp(-1j * np.pi / 8), np.exp(1j * np.pi / 8)])
 CZ = np.diag([1, 1, 1, -1]).astype(np.complex128)
@@ -25,17 +23,6 @@ SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
                  [0, 1, 0, 0],
                  [0, 0, 0, 1]], dtype=np.complex128)
-
-
-@dataclass(frozen=True)
-class CellProgram:
-    """The two classical control bits of one cell."""
-    p3: int
-    p4: int
-
-    def __post_init__(self):
-        if self.p3 not in (0, 1) or self.p4 not in (0, 1):
-            raise ValueError("program bits must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -68,14 +55,6 @@ class ProgramColumn:
         return sum(b << y for y, b in enumerate(self.bits))
 
 
-def apply_unitary_matrix(u, bit_positions, n):
-    """Dense n-qubit matrix of `u` acting on the given bit positions."""
-    dim = 2 ** n
-    cols = [apply_unitary(col, u, bit_positions)
-            for col in np.eye(dim, dtype=np.complex128)]
-    return np.array(cols).T
-
-
 @lru_cache(maxsize=None)
 def build_tau():
     """The elementary cell transition: CCZ on (q1,q2) controlled by q4,
@@ -96,9 +75,12 @@ def build_tau():
         if q3:
             cphase[idx, idx] = np.exp(1j * np.pi / 8 * (1 if q1 else -1))
 
-    h1 = apply_unitary_matrix(H, [3], n)            # q1 is bit 3
-    s13 = apply_unitary_matrix(SWAP, [3, 1], n)     # q1 <-> q3
-    s24 = apply_unitary_matrix(SWAP, [2, 0], n)     # q2 <-> q4
+    def on(u, bits):
+        return operator_matrix(lambda v: apply_unitary(v, u, bits), dim)
+
+    h1 = on(H, [3])            # q1 is bit 3
+    s13 = on(SWAP, [3, 1])     # q1 <-> q3
+    s24 = on(SWAP, [2, 0])     # q2 <-> q4
 
     return as_unitary(s13 @ s24 @ h1 @ cphase @ ccz)
 
@@ -149,10 +131,8 @@ def apply_gates(amps, gates):
 
 def column_unitary(p, phi, s):
     """Dense 2^(2s) x 2^(2s) matrix of U(p, phi)."""
-    dim = 4 ** s
-    cols = [apply_gates(col, u_of_p(p, phi, s))
-            for col in np.eye(dim, dtype=np.complex128)]
-    return np.array(cols).T
+    gates = u_of_p(p, phi, s)
+    return operator_matrix(lambda v: apply_gates(v, gates), 4 ** s)
 
 
 def tau_consistency_check(tau=None, tol=1e-12):

@@ -33,19 +33,16 @@ def apply_unitary(amps, u, bits):
     return np.ascontiguousarray(t).reshape(-1)
 
 
+def operator_matrix(apply, dim):
+    """Matrix of the linear map `apply` on C^dim, built by applying it
+    to each computational basis column."""
+    return np.array([apply(col)
+                     for col in np.eye(dim, dtype=np.complex128)]).T
+
+
 def kron_all(factors):
     """Kronecker product, first factor most significant."""
     out = np.asarray(factors[0], dtype=np.complex128)
     for f in factors[1:]:
         out = np.kron(out, f)
     return out
-
-
-def basis_state(index, dim):
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
-    return v
-
-
-def overlap(a, b):
-    return np.vdot(a, b)

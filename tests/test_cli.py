@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqca.cli import main
 from mqca.gates import build_tau, parse_tau_dump
@@ -79,6 +81,13 @@ class TestRunCommand:
             outs.append(json.loads(out.read_text())["samples"])
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("data", [5, [None], [[1]], {"0": "10"}, ["101"]])
+    def test_malformed_data_exit_2(self, tmp_path, data):
+        prog = tmp_path / "p.json"
+        write_json(prog, {"s": 1, "r": 2, "columns": ["10", "01"],
+                          "data": data})
+        assert main(["run", str(prog)]) == 2
+
     def test_factored_planar_exit_3(self, small_program):
         assert main(["run", str(small_program), "--backend", "factored",
                      "--topology", "planar"]) == 3
@@ -87,6 +96,68 @@ class TestRunCommand:
         prog = tmp_path / "big.json"
         write_json(prog, {"s": 2, "r": 4, "columns": ["0000"] * 4})
         assert main(["run", str(prog), "--backend", "dense"]) == 4
+
+
+def run_json(tmp_path, args):
+    out = tmp_path / "out.json"
+    assert main(["run", *map(str, args), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def amplitudes(result):
+    return np.array([complex(re, im) for re, im in result["amplitudes"]])
+
+
+class TestSampling:
+    @pytest.mark.parametrize("backend", ["dense", "factored"])
+    def test_basis_register_sampled_exactly(self, tmp_path, backend):
+        prog = tmp_path / "p.json"
+        write_json(prog, {"s": 1, "r": 2, "columns": ["11", "01"],
+                          "data": ["10", "01"]})
+        result = run_json(tmp_path, [prog, "--backend", backend, "--steps",
+                                     0, "--samples", 20, "--seed", 42])
+        assert result["samples"] == ["10"] * 20
+
+    def test_seed_determinism(self, tmp_path):
+        prog = tmp_path / "p.json"
+        write_json(prog, {"s": 1, "r": 2, "columns": ["00", "00"],
+                          "data": [[[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]]})
+        args = [prog, "--backend", "dense", "--steps", 0, "--samples", 30,
+                "--seed", 7]
+        first = run_json(tmp_path, args)["samples"]
+        assert len(set(first)) > 1
+        assert run_json(tmp_path, args)["samples"] == first
+
+    def test_same_seed_same_samples_after_evolution(self, tmp_path):
+        prog = tmp_path / "p.json"
+        write_json(prog, {"s": 1, "r": 2, "columns": ["11", "01"],
+                          "data": [[[0.6, 0], [0, 0.8], [0, 0], [0, 0]]]})
+        args = [prog, "--backend", "dense", "--steps", 2, "--samples", 30,
+                "--seed", 99]
+        first = run_json(tmp_path, args)["samples"]
+        assert len(set(first)) > 1
+        assert run_json(tmp_path, args)["samples"] == first
+
+    @given(st.integers(2, 4), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_backends_agree_at_every_step(self, tmp_path_factory, r, seed):
+        tmp_path = tmp_path_factory.mktemp("agree")
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        prog = tmp_path / "p.json"
+        write_json(prog, {
+            "s": 1, "r": r,
+            "columns": ["".join(str(b) for b in rng.integers(0, 2, 2))
+                        for _ in range(r)],
+            "data": [[[z.real, z.imag] for z in v]]})
+        for steps in range(2 * r + 1):
+            runs = {b: [prog, "--backend", b, "--steps", steps]
+                    for b in ("dense", "factored")}
+            a, b = (amplitudes(run_json(tmp_path, x)) for x in runs.values())
+            assert abs(np.vdot(a, b)) >= 1 - 1e-10
+            a, b = (run_json(tmp_path, x + ["--samples", 20, "--seed", seed])
+                    ["samples"] for x in runs.values())
+            assert a == b
 
 
 class TestVerifyCommand:

@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 from conftest import random_register, zero_register
 from mqca import factored
 from mqca.compiler import (H_SEQ, IDENT_SEQ, T_SEQ, WINDOW_STEPS, CircuitIR,
-                           CompileError, LogicalGate, circuit_from_json,
-                           circuit_to_json, compile_circuit,
+                           CompileError, LogicalGate, WindowSpec,
+                           circuit_from_json, circuit_to_json, compile_circuit,
                            derive_two_qubit_windows, distance_up_to_phase,
-                           layers_to_program, program_to_layers,
-                           reference_simulate, sequence_unitary,
-                           window_unitary)
+                           layers_to_program, reference_simulate,
+                           sequence_unitary, window_columns, window_unitary)
 from mqca.dense import ColumnAssignment
-from mqca.gates import H, T_GATE
+from mqca.gates import H, T_GATE, u_of_p
 from mqca.lattice import LatticeSpec, Topology
+from mqca.linalg import apply_unitary, operator_matrix
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -83,6 +83,18 @@ class TestWindowLibrary:
                                for col in np.eye(dim, dtype=complex)]).T
             assert distance_up_to_phase(u, target) <= 1e-10
 
+    @given(st.sampled_from([2, 4]), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_single_row_window_is_its_sequence(self, two_s, data):
+        # the column-action product over a window's columns equals the
+        # row's bit-sequence unitary; idle rows see ten H's, the identity
+        q = data.draw(st.integers(0, two_s - 1))
+        seq = data.draw(st.tuples(*[st.integers(0, 1)] * 10))
+        u = window_unitary(WindowSpec(p3={q: seq}), two_s)
+        expect = operator_matrix(
+            lambda v: apply_unitary(v, sequence_unitary(seq), [q]), 2 ** two_s)
+        assert np.allclose(u, expect, atol=1e-12)
+
 
 class TestCompile:
     def test_empty_circuit_gives_one_zero_window(self):
@@ -118,14 +130,23 @@ class TestCompile:
         circuit = CircuitIR(4, (LogicalGate("H", (1,)),
                                 LogicalGate("CZ", (2, 3)),))
         layers, r = compile_circuit(circuit, 2)
-        two_s = 4
-        counts = [0] * two_s
-        for k, cells in enumerate(layers.steps, start=1):
-            phi = (k - 1) % 2
-            for j in range(2):
-                counts[(2 * j + phi) % two_s] += 1
+        # every cell's top row gets the mandatory H of U(p, phi)
+        counts = [0] * 4
+        for k, p in enumerate(layers_to_program(layers)):
+            for g in u_of_p(p, k % 2, 2):
+                if g.name == "h":
+                    counts[g.rows[0]] += 1
         windows = r // WINDOW_STEPS
-        assert counts == [10 * windows] * two_s
+        assert counts == [10 * windows] * 4
+
+    def test_program_is_the_windows_columns(self):
+        circuit = CircuitIR(4, (LogicalGate("CNOT", (1, 2)),
+                                LogicalGate("T", (0,))))
+        layers, r = compile_circuit(circuit, 2)
+        cols = layers_to_program(layers)
+        assert len(cols) == r == WINDOW_STEPS * len(layers.windows)
+        assert cols == [p for w in layers.windows
+                        for p in window_columns(w, 4)]
 
     def test_non_adjacent_cz_rejected(self):
         with pytest.raises(CompileError):
@@ -148,16 +169,6 @@ class TestCompile:
         out = _run_program(layers, 2, psi)
         ref = reference_simulate(circuit, psi)
         assert abs(np.vdot(ref, out)) >= 1 - 1e-9
-
-
-class TestLayerProgramRoundtrip:
-    @given(st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_roundtrip(self, s, seed):
-        rng = np.random.default_rng(seed)
-        gates = [LogicalGate("H", (int(rng.integers(0, 2 * s)),))]
-        layers, _ = compile_circuit(CircuitIR(2 * s, tuple(gates)), s)
-        assert program_to_layers(layers_to_program(layers), s) == layers
 
 
 class TestCircuitJson:

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_assignment, random_programs, zero_register
+from conftest import random_assignment, random_programs
 from mqca import dense
 from mqca.dense import (ColumnAssignment, MemoryGuardError, column_marginal,
                         dump_state, init_state, inverse_step, load_state,
-                        measure_column, run, schmidt_rank_at_cut, step,
-                        zero_assignment)
-from mqca.gates import ProgramColumn
+                        run, schmidt_rank_at_cut, step, zero_assignment)
 from mqca.lattice import LatticeSpec, Topology
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -137,27 +135,6 @@ class TestColumnMarginal:
         for x in range(TORUS_12.n_cols):
             evals = np.linalg.eigvalsh(column_marginal(state, x))
             assert evals[-1] > 1 - 1e-8
-
-
-class TestMeasureColumn:
-    def test_program_column_deterministic(self):
-        programs = [ProgramColumn((1, 0)), ProgramColumn((0, 1))]
-        assign = zero_assignment(TORUS_12, programs)
-        state = init_state(assign, TORUS_12)
-        bits, prob = measure_column(state, 1, seed=42)
-        assert bits == "10"
-        assert prob == pytest.approx(1.0)
-
-    def test_seed_determinism(self):
-        state = init_state(zero_assignment(TORUS_12), TORUS_12)
-        a = measure_column(state, 0, seed=7)
-        b = measure_column(state, 0, seed=7)
-        assert a == b
-
-    def test_same_seed_same_outcome_after_evolution(self):
-        rng = np.random.default_rng(23)
-        state = run(init_state(random_assignment(rng, TORUS_12), TORUS_12), 2)
-        assert measure_column(state, 2, 99) == measure_column(state, 2, 99)
 
 
 class TestSchmidtRank:
